@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/des"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/parmf"
 	"repro/internal/parsim"
 	"repro/internal/sched"
+	"repro/internal/seqmf"
 	"repro/internal/sparse"
 	"repro/internal/workload"
 )
@@ -490,7 +492,8 @@ func BenchmarkAblationLatency(b *testing.B) {
 }
 
 // BenchmarkSequentialFactorization benches the numeric kernel (real
-// partial LU + extend-add) that validates the front machinery.
+// partial LU + extend-add) that validates the front machinery, on one
+// worker (the sequential schedule).
 func BenchmarkSequentialFactorization(b *testing.B) {
 	a := sparse.Grid2D(40, 40)
 	an, err := core.Analyze(a, core.DefaultConfig(order.AMD, 1))
@@ -499,10 +502,27 @@ func BenchmarkSequentialFactorization(b *testing.B) {
 	}
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := an.Factorize(); err != nil {
+		if _, err := an.FactorizeParallel(parmf.DefaultConfig(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// seqPerOp times the sequential reference executor (blocked kernels, as
+// the facade defaults to) on the analysis, amortized over enough
+// repetitions to be stable: the baseline of the speedup_x metrics.
+func seqPerOp(b *testing.B, an *core.Analysis) time.Duration {
+	opt := seqmf.DefaultOptions()
+	opt.BlockRows = dense.DefaultBlockRows
+	t0 := time.Now()
+	reps := 0
+	for time.Since(t0) < 500*time.Millisecond {
+		if _, err := seqmf.Factorize(an.Permuted, an.Tree, opt); err != nil {
+			b.Fatal(err)
+		}
+		reps++
+	}
+	return time.Since(t0) / time.Duration(reps)
 }
 
 // BenchmarkNodeParallel measures the within-front (type-2) parallel path:
@@ -524,16 +544,7 @@ func BenchmarkNodeParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Sequential blocked baseline, amortized for stability.
-		t0 := time.Now()
-		reps := 0
-		for time.Since(t0) < 500*time.Millisecond {
-			if _, err := an.Factorize(); err != nil {
-				b.Fatal(err)
-			}
-			reps++
-		}
-		seqPerOp := time.Since(t0) / time.Duration(reps)
+		seq := seqPerOp(b, an)
 
 		for _, workers := range []int{1, 2, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
@@ -548,7 +559,7 @@ func BenchmarkNodeParallel(b *testing.B) {
 					slaves = f.Stats.SlaveTasks
 				}
 				perOp := b.Elapsed() / time.Duration(b.N)
-				b.ReportMetric(float64(seqPerOp)/float64(perOp), "speedup_x")
+				b.ReportMetric(float64(seq)/float64(perOp), "speedup_x")
 				b.ReportMetric(float64(splits), "split_fronts")
 				b.ReportMetric(float64(slaves), "slave_tasks")
 			})
@@ -571,16 +582,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Sequential baseline, amortized over enough repetitions to be stable.
-	t0 := time.Now()
-	reps := 0
-	for time.Since(t0) < 500*time.Millisecond {
-		if _, err := an.Factorize(); err != nil {
-			b.Fatal(err)
-		}
-		reps++
-	}
-	seqPerOp := time.Since(t0) / time.Duration(reps)
+	seq := seqPerOp(b, an)
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -593,7 +595,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 				peak = f.Stats.PeakStack
 			}
 			perOp := b.Elapsed() / time.Duration(b.N)
-			b.ReportMetric(float64(seqPerOp)/float64(perOp), "speedup_x")
+			b.ReportMetric(float64(seq)/float64(perOp), "speedup_x")
 			b.ReportMetric(float64(peak), "peak_entries")
 		})
 	}

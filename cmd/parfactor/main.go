@@ -1,7 +1,7 @@
-// Command parfactor runs the real shared-memory parallel numeric
+// Command parfactor runs the shared-memory parallel numeric
 // factorization of one matrix and reports wall-clock time, per-worker
-// memory peaks and scheduling statistics, optionally cross-checked against
-// the sequential executor.
+// memory peaks and scheduling statistics — optionally against a
+// one-worker baseline (-seq) and next to an out-of-core run (-ooc).
 //
 // Usage:
 //
@@ -10,33 +10,56 @@
 //	          [-front-split N] [-block-rows N] [-root-grid N]
 //	          [-slaves memory|workload] [-kernel FAMILY] [-bound ENTRIES]
 //	          [-nrhs K] [-seq] [-small]
+//	          [-ooc] [-budget ENTRIES] [-dir DIR] [-prefetch N]
 //	          [-trace FILE] [-metrics FILE] [-pprof PREFIX]
 //	          [-listen HOST:PORT] [-listen-linger D]
 //	          [-timeout D] [-faults SPEC]
 //
+// The flags build one executor configuration and every run of the
+// invocation uses it. -seq adds a one-worker run of the same
+// factorization and prints the wall-clock speedup and the largest factor
+// difference (0: static pivoting makes the factors independent of the
+// worker count).
+//
+// -ooc adds an out-of-core run — factor blocks spilled to disk as they
+// are produced — and compares the *measured* resident peaks of the two
+// runs with the simulator's prediction. It makes the paper's concluding
+// argument executable: factors are written once and not reaccessed
+// before the solve phase, so the stack is the true resident cost.
+// -budget sizes the resident spill buffer, -dir places the spill file and
+// -prefetch sets the solve-phase read-ahead. The two runs' solutions are
+// cross-checked (bitwise identical: the spill format round-trips float
+// bits), and the spilled factors stream off disk exactly twice (one
+// forward and one backward sweep) however many right-hand sides ride
+// along.
+//
 // Fault tolerance: -timeout bounds the whole run with a context deadline
-// (the worker pools drain deterministically and the tool exits nonzero
-// with an error naming how far the run got), and -faults arms a
-// deterministic fault-injection schedule (internal/faults grammar, e.g.
-// 'task:error:5') for chaos testing — injected failures surface as
+// (the worker pools and the spill writer drain deterministically and the
+// tool exits nonzero with an error naming how far the run got), and
+// -faults arms a deterministic fault-injection schedule (internal/faults
+// grammar, e.g. 'task:error:5' or 'spill-write:error:2:3') for chaos
+// testing. Transient spill-write failures are retried with exponential
+// backoff; persistent ones degrade gracefully — the affected blocks stay
+// resident and the run completes with identical numerics, reporting the
+// retry and degraded-block counts. Other injected failures surface as
 // descriptive errors, never hangs or leaked goroutines.
 //
-// Observability: -trace writes Chrome trace_event JSON of the run (task,
-// front-phase and solve spans per worker plus exact memory counter
-// tracks; load in chrome://tracing or Perfetto), -metrics writes the
-// aggregated counters snapshot (Prometheus text format, or JSON with a
-// .json path), and -pprof captures CPU and heap profiles. -listen serves
-// all of it live while the run executes: /metrics (Prometheus scrape
-// with progress, ETA and the resident gauge), /progress and /runs
-// (JSON), /trace.json, /timeline.csv and /debug/pprof. -listen-linger
-// keeps that server up after the run completes so scrapers can catch
-// short runs.
+// Observability: -trace writes Chrome trace_event JSON of every run
+// (task, front-phase, spill and solve spans per worker plus exact memory
+// counter tracks; load in chrome://tracing or Perfetto), -metrics writes
+// the aggregated counters snapshot (Prometheus text format, or JSON with
+// a .json path) with the stats of the out-of-core run under -ooc and of
+// the parallel in-core run otherwise, and -pprof captures CPU and heap
+// profiles. -listen serves all of it live while the runs execute:
+// /metrics (Prometheus scrape with progress, ETA and the resident gauge),
+// /progress and /runs (JSON; during the out-of-core run /progress also
+// carries the spill-store counters), /trace.json, /timeline.csv and
+// /debug/pprof. -listen-linger keeps that server up after the run
+// completes so scrapers can catch short runs.
 //
 // -matrix selects a problem from the paper's Table-1 suite by name
 // (pattern-only analogues are given deterministic diagonally dominant
-// values); -mm reads a MatrixMarket file instead. With -seq the sequential
-// factorization also runs, and the tool prints the wall-clock speedup and
-// the factor cross-validation result.
+// values); -mm reads a MatrixMarket file instead.
 //
 // -front-split and -block-rows control the within-front (type-2) parallel
 // path: fronts of at least -front-split rows are factored as a master task
@@ -56,8 +79,7 @@
 // path is available, fast otherwise. Both non-default families keep the
 // factors deterministic for a fixed -block-rows (any worker count or
 // grid shape) but are validated by residual rather than bit equality.
-// -fast-kernels is a deprecated alias of -kernel=fast. Set -front-split
-// larger than the largest front to disable splitting.
+// Set -front-split larger than the largest front to disable splitting.
 //
 // The solve phase runs tree-parallel over the same workers and handles
 // -nrhs right-hand sides as one blocked pass (one forward and one
@@ -79,7 +101,10 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/memory"
+	"repro/internal/metrics"
+	"repro/internal/ooc"
 	"repro/internal/parmf"
+	"repro/internal/parsim"
 	"repro/internal/sparse"
 )
 
@@ -87,14 +112,21 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("parfactor: ")
 	var common cliflags.Common
-	common.Register(flag.CommandLine, 8)
+	common.Register(flag.CommandLine)
 	policy := flag.String("policy", "memory", "task selection: memory (Algorithm 2) or depthfirst")
 	bound := flag.Int64("bound", 0, "per-worker memory bound in entries (0 = sequential peak)")
-	seq := flag.Bool("seq", false, "also run seqmf: report speedup and cross-validate factors")
+	seq := flag.Bool("seq", false, "also run on one worker: report speedup and cross-validate factors")
+	oocRun := flag.Bool("ooc", false, "also run out-of-core: compare resident peaks with the simulator and cross-check the solves")
+	budget := flag.Int64("budget", 0, "-ooc resident spill-buffer budget in entries (0 = factors/16)")
+	dir := flag.String("dir", "", "-ooc spill directory (default: system temp dir)")
+	prefetch := flag.Int("prefetch", 0, "-ooc solve-phase read-ahead in blocks (0 = 8)")
 	flag.Parse()
 
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
+	}
+	if !*oocRun && (*budget != 0 || *dir != "" || *prefetch != 0) {
+		log.Fatal("-budget, -dir and -prefetch need -ooc")
 	}
 	a, err := common.Load()
 	if err != nil {
@@ -109,6 +141,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Tracer = obs.Tracer
+	cfg.OOC = ooc.Options{Dir: *dir, BufferEntries: *budget, Prefetch: *prefetch}
 	inj, _ := common.Injector() // validated above
 	cfg.Faults = inj
 	obs.SetFaults(inj)
@@ -130,8 +163,8 @@ func main() {
 	}
 	st := an.Stats()
 	fmt.Printf("matrix:    n=%d nnz=%d %v\n", st.N, st.NNZ, a.Kind)
-	fmt.Printf("analysis:  %d fronts, max front %d, %d split; sequential peak %d entries\n",
-		st.Fronts, st.MaxFront, st.SplitCount, st.SeqPeak)
+	fmt.Printf("analysis:  %d fronts, max front %d, %d split; factors %d entries, sequential peak %d entries\n",
+		st.Fronts, st.MaxFront, st.SplitCount, st.FactorEntries, st.SeqPeak)
 
 	pcfg := parmf.DefaultConfig(common.Workers)
 	pcfg.PeakBound = *bound
@@ -185,36 +218,104 @@ func main() {
 		residual(a, x, b, common.NRHS))
 
 	if *seq {
+		one := pcfg
+		one.Workers = 1
 		t0 = time.Now()
-		sf, err := an.FactorizeCtx(ctx)
+		sf, err := an.FactorizeParallelCtx(ctx, one)
 		if err != nil {
 			fatal(err)
 		}
 		seqT := time.Since(t0)
-		fmt.Printf("sequential: %.3fs wall, peak %d entries\n", seqT.Seconds(), sf.Stats.PeakStack)
+		fmt.Printf("sequential: %.3fs wall on 1 worker, peak %d entries\n", seqT.Seconds(), sf.Stats.PeakStack)
 		fmt.Printf("  speedup          %.2fx\n", seqT.Seconds()/parT.Seconds())
-		var maxDiff float64
-		for ni := 0; ni < an.Tree.Len(); ni++ {
-			na, nb := sf.Front().Node(ni), pf.Front().Node(ni)
-			for p, v := range na.L.A {
-				if d := math.Abs(v - nb.L.A[p]); d > maxDiff {
-					maxDiff = d
-				}
-			}
-			if na.U != nil {
-				for p, v := range na.U.A {
-					if d := math.Abs(v - nb.U.A[p]); d > maxDiff {
-						maxDiff = d
-					}
-				}
-			}
-		}
-		fmt.Printf("  max factor diff  %.3g\n", maxDiff)
+		fmt.Printf("  max factor diff  %.3g\n", maxFactorDiff(an, sf, pf))
 	}
 
-	if err := obs.Finish(pf.Stats.ExecStats); err != nil {
+	final := pf.Stats.ExecStats
+	if *oocRun {
+		final = runOOC(ctx, an, pcfg, obs, fatal, pf.Stats.ResidentPeak, x, b, common.NRHS)
+	}
+	if err := obs.Finish(final); err != nil {
 		log.Fatalf("observability outputs: %v", err)
 	}
+}
+
+// runOOC factors and solves once more with the factor blocks spilled to
+// disk, prints the measured resident peaks of the in-core and
+// out-of-core runs next to the simulator's prediction, the spill
+// statistics and the in-core/out-of-core solution difference, and
+// returns the out-of-core run's stats.
+func runOOC(ctx context.Context, an *core.Analysis, pcfg parmf.Config, obs *cliflags.Obs, fatal func(error),
+	inPeak int64, xIn, b []float64, nrhs int) memory.ExecStats {
+	// Simulator prediction for the same processor count: the in-core total
+	// peak vs the stack-only peak that remains resident out-of-core.
+	sim, err := an.Simulate(parsim.MemoryBased())
+	if err != nil {
+		fatal(err)
+	}
+	t0 := time.Now()
+	of, store, err := an.FactorizeParallelOOCCtx(ctx, pcfg)
+	if err != nil {
+		fatal(err)
+	}
+	defer of.Close()
+	factorT := time.Since(t0)
+	if obs.Run != nil {
+		// /progress carries the spill-store counters from here on (the
+		// solve phase still accrues reads, and the final numbers stay
+		// visible through -listen-linger).
+		obs.Run.SetSpill(store.Stats)
+	}
+	t0 = time.Now()
+	xOOC, err := of.Solver(0).SolveOriginalMultiCtx(ctx, b, nrhs)
+	if err != nil {
+		fatal(err)
+	}
+	solveT := time.Since(t0)
+	// Snapshot spill stats only after the solve: DirectReads counts
+	// solve-phase fetches that outran the prefetcher.
+	spill := store.Stats()
+	s := of.Stats
+
+	t := metrics.New(fmt.Sprintf("measured vs simulated resident peaks (%d workers, entries)", s.Workers),
+		"source", "in-core total", "OOC resident", "saving %")
+	t.AddRow("simulated (max/proc)", sim.MaxTotalPeak, sim.MaxActivePeak,
+		fmt.Sprintf("%.1f", metrics.PercentDecrease(sim.MaxTotalPeak, sim.MaxActivePeak)))
+	t.AddRow("measured (process)", inPeak, s.ResidentPeak,
+		fmt.Sprintf("%.1f", metrics.PercentDecrease(inPeak, s.ResidentPeak)))
+	fmt.Println(t.Render())
+	fmt.Printf("ooc:       %.3fs factor, %.3fs solve; spilled %d blocks, %.1f MiB; buffer peak %d entries, %d put waits, %d block reads, %d direct\n",
+		factorT.Seconds(), solveT.Seconds(), spill.Blocks, float64(spill.BytesWritten)/(1<<20),
+		spill.BufferPeak, spill.PutWaits, spill.BlocksRead, spill.DirectReads)
+	if s.Retries > 0 || s.DegradedBlocks > 0 {
+		fmt.Printf("resilience: %d spill I/O retries, %d blocks degraded to in-core (numerics unaffected)\n",
+			s.Retries, s.DegradedBlocks)
+	}
+	var maxDiff float64
+	for i := range xIn {
+		maxDiff = math.Max(maxDiff, math.Abs(xIn[i]-xOOC[i]))
+	}
+	fmt.Printf("  ooc solve        max |x_incore - x_ooc| = %g over %d rhs (bitwise identical factors)\n",
+		maxDiff, nrhs)
+	return s.ExecStats
+}
+
+// maxFactorDiff returns the largest absolute difference between the L (and
+// U) entries of two in-core factorizations of the same analysis.
+func maxFactorDiff(an *core.Analysis, f, g *parmf.Factors) float64 {
+	var d float64
+	for ni := 0; ni < an.Tree.Len(); ni++ {
+		na, nb := f.Front().Node(ni), g.Front().Node(ni)
+		for p, v := range na.L.A {
+			d = math.Max(d, math.Abs(v-nb.L.A[p]))
+		}
+		if na.U != nil {
+			for p, v := range na.U.A {
+				d = math.Max(d, math.Abs(v-nb.U.A[p]))
+			}
+		}
+	}
+	return d
 }
 
 // residual returns the worst relative residual over the nrhs columns of

@@ -33,7 +33,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	t := metrics.New("sequential resident peaks, matrix entries (ND ordering)",
+	t := metrics.New("one-worker (sequential schedule) resident peaks, matrix entries (ND ordering)",
 		"problem", "sim in-core", "sim OOC", "mea in-core", "mea OOC", "mea saving %")
 	for _, p := range workload.SmallSuite() {
 		a := p.Matrix()
@@ -50,11 +50,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		inc, err := an.Factorize()
+		inc, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 		if err != nil {
 			log.Fatal(err)
 		}
-		ooc, _, err := an.FactorizeOOC()
+		ooc, _, err := an.FactorizeParallelOOC(parmf.DefaultConfig(1))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,8 +84,8 @@ func main() {
 	}
 	fmt.Println(t.Render())
 
-	// The same holds under the parallel executor: one shared meter across
-	// workers and the spill writer measures the whole-process peak.
+	// The same holds with more workers: one shared meter across workers
+	// and the spill writer measures the whole-process peak.
 	const workers = 8
 	p, err := workload.ByName(workload.Suite(), "PRE2")
 	if err != nil {

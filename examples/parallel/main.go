@@ -1,7 +1,8 @@
-// Parallel: factor the same SPD system sequentially and with the real
-// shared-memory parallel executor, cross-check the factors entry by entry,
-// and compare wall-clock times and per-worker memory peaks — the live
-// counterpart of the simulator comparison in examples/quickstart.
+// Parallel: factor the same SPD system with the real shared-memory
+// parallel executor on one worker (the sequential schedule) and on four,
+// cross-check the factors entry by entry, and compare wall-clock times and
+// per-worker memory peaks — the live counterpart of the simulator
+// comparison in examples/quickstart.
 package main
 
 import (
@@ -34,12 +35,12 @@ func main() {
 		st.Fronts, st.MaxFront, st.Subtrees, st.SeqPeak)
 
 	t0 := time.Now()
-	sf, err := an.Factorize()
+	sf, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	seqT := time.Since(t0)
-	fmt.Printf("sequential: %.3fs, peak %d entries\n", seqT.Seconds(), sf.Stats.PeakStack)
+	fmt.Printf("sequential: %.3fs on 1 worker, peak %d entries\n", seqT.Seconds(), sf.Stats.PeakStack)
 
 	t0 = time.Now()
 	pf, err := an.FactorizeParallel(parmf.DefaultConfig(4))
@@ -85,8 +86,8 @@ func main() {
 	fmt.Printf("solve: ||x - x0|| = %.3g\n", math.Sqrt(errNorm))
 
 	// The solve phase is tree-parallel too, and deterministic: a blocked
-	// multi-RHS solve over the workers matches the sequential factors'
-	// solve bit for bit, column by column.
+	// multi-RHS solve over four workers matches the one-worker solve bit
+	// for bit, column by column.
 	const nrhs = 3
 	bs := make([]float64, a.N*nrhs)
 	for i := 0; i < a.N; i++ {

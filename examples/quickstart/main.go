@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/order"
+	"repro/internal/parmf"
 	"repro/internal/parsim"
 	"repro/internal/sparse"
 )
@@ -29,8 +30,9 @@ func main() {
 	fmt.Printf("analysis: %d fronts, max front %d, %.3g flops, %d subtrees\n",
 		st.Fronts, st.MaxFront, float64(st.Flops), st.Subtrees)
 
-	// Real numeric factorization + solve.
-	f, err := an.Factorize()
+	// Real numeric factorization + solve, on one worker: the sequential
+	// postorder traversal, whose stack peak is the analysis' SeqPeak.
+	f, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		log.Fatal(err)
 	}

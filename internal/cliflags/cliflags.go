@@ -1,9 +1,9 @@
-// Package cliflags holds the flag set, validation and input loading shared
-// by the factorization CLIs (cmd/parfactor, cmd/oocfactor): problem
-// selection, ordering, worker count, the within-front split knobs and the
-// kernel-family switch. Each command registers the common set once and
-// adds its own specific flags next to it, so the two tools cannot drift
-// apart on the meaning or validation of the shared ones.
+// Package cliflags holds the flag set, validation, input loading and
+// observability lifecycle of the factorization CLI (cmd/parfactor):
+// problem selection, ordering, worker count, the within-front split knobs,
+// the kernel-family switch and the -trace/-metrics/-listen outputs. The
+// command registers the common set once and adds its own specific flags
+// next to it.
 package cliflags
 
 import (
@@ -25,21 +25,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Common is the flag set shared by the factorization CLIs.
+// Common is the factorization CLI's common flag set.
 type Common struct {
-	Matrix      string
-	MM          string
-	Ordering    string
-	Workers     int
-	Split       int64
-	FrontSplit  int
-	BlockRows   int
-	RootGrid    int
-	Slaves      string
-	Kernel      string
-	FastKernels bool
-	Small       bool
-	NRHS        int
+	Matrix     string
+	MM         string
+	Ordering   string
+	Workers    int
+	Split      int64
+	FrontSplit int
+	BlockRows  int
+	RootGrid   int
+	Slaves     string
+	Kernel     string
+	Small      bool
+	NRHS       int
 
 	// Observability outputs (see Observability): empty = disabled.
 	Trace   string // Chrome trace_event JSON path
@@ -65,37 +64,19 @@ type Common struct {
 	Faults string
 }
 
-// Solver is the solve surface the CLIs drive after a factorization:
-// right-hand sides in the original (pre-permutation) ordering, single
-// vector or a row-major n x nrhs block. Both seqmf.Factors and
-// parmf.Factors satisfy it.
-type Solver interface {
-	SolveOriginal(b []float64) ([]float64, error)
-	SolveOriginalMulti(b []float64, nrhs int) ([]float64, error)
-}
-
-// FactorSolver is a Solver whose factor store must be released when the
-// run is done (e.g. an out-of-core spill file).
-type FactorSolver interface {
-	Solver
-	Close() error
-}
-
 // Register declares the common flags on fs (use flag.CommandLine for the
-// process flag set). defaultWorkers seeds -workers, which differs between
-// the tools (parfactor defaults parallel, oocfactor sequential).
-func (c *Common) Register(fs *flag.FlagSet, defaultWorkers int) {
+// process flag set).
+func (c *Common) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Matrix, "matrix", "", "suite problem name (see experiments -table 1)")
 	fs.StringVar(&c.MM, "mm", "", "MatrixMarket file to read instead of a suite problem")
 	fs.StringVar(&c.Ordering, "ordering", "METIS", "fill-reducing ordering: METIS|PORD|AMD|AMF|RCM|NATURAL")
-	fs.IntVar(&c.Workers, "workers", defaultWorkers, "worker goroutine count")
+	fs.IntVar(&c.Workers, "workers", 8, "worker goroutine count")
 	fs.Int64Var(&c.Split, "split", 0, "split masters larger than this many entries (0 = off)")
 	fs.IntVar(&c.FrontSplit, "front-split", 128, "factor fronts at least this large via within-front master/slave tasks")
 	fs.IntVar(&c.BlockRows, "block-rows", dense.DefaultBlockRows, "panel width / tile edge of the blocked kernels and within-front partitions")
 	fs.IntVar(&c.RootGrid, "root-grid", 0, "2D (type-3) root-front worker grid rows: 0 = auto (floor(sqrt(workers))), -1 = 1D roots, N > 0 = N grid rows")
 	fs.StringVar(&c.Slaves, "slaves", "memory", "slave selection for split fronts: memory (Algorithm 1) or workload")
 	fs.StringVar(&c.Kernel, "kernel", "", "dense kernel family: default|fast|simd|auto (auto picks simd when AVX2/FMA is available, fast otherwise)")
-	fs.BoolVar(&c.FastKernels, "fast-kernels", false, "deprecated alias of -kernel=fast; cannot be combined with -kernel")
 	fs.BoolVar(&c.Small, "small", false, "use the reduced (test-scale) suite")
 	fs.IntVar(&c.NRHS, "nrhs", 1, "number of right-hand sides solved as one blocked multi-RHS pass")
 	fs.StringVar(&c.Trace, "trace", "", "write Chrome trace_event JSON of the run to this file (chrome://tracing / Perfetto)")
@@ -132,9 +113,6 @@ func (c *Common) Validate() error {
 	}
 	if _, err := c.SlavePolicy(); err != nil {
 		return err
-	}
-	if c.Kernel != "" && c.FastKernels {
-		return fmt.Errorf("-kernel and -fast-kernels are mutually exclusive (-fast-kernels is a deprecated alias of -kernel=fast)")
 	}
 	if _, err := c.KernelFamily(); err != nil {
 		return err
@@ -238,23 +216,16 @@ func (c *Common) Method() (order.Method, error) {
 	return 0, fmt.Errorf("unknown ordering %q", c.Ordering)
 }
 
-// KernelFamily resolves the kernel-family flags: -kernel when given
-// (default|fast|simd|auto), else the deprecated -fast-kernels boolean,
-// else the default family. The returned Kernel may be dense.KernelAuto —
-// the executors resolve it to the concrete family and report that in
-// their stats.
+// KernelFamily resolves -kernel (default|fast|simd|auto; empty = the
+// default family). The returned Kernel may be dense.KernelAuto — the
+// executor resolves it to the concrete family and reports that in its
+// stats.
 func (c *Common) KernelFamily() (dense.Kernel, error) {
-	if c.Kernel != "" {
-		k, err := dense.ParseKernel(c.Kernel)
-		if err != nil {
-			return dense.KernelDefault, fmt.Errorf("-kernel: %v", err)
-		}
-		return k, nil
+	k, err := dense.ParseKernel(c.Kernel)
+	if err != nil {
+		return dense.KernelDefault, fmt.Errorf("-kernel: %v", err)
 	}
-	if c.FastKernels {
-		return dense.KernelFast, nil
-	}
-	return dense.KernelDefault, nil
+	return k, nil
 }
 
 // SlavePolicy parses -slaves.

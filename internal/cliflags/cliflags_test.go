@@ -8,23 +8,13 @@ import (
 	"repro/internal/dense"
 	"repro/internal/order"
 	"repro/internal/parmf"
-	"repro/internal/seqmf"
-)
-
-// Both executors must satisfy the shared CLI solver surface.
-var (
-	_ Solver = (*seqmf.Factors)(nil)
-	_ Solver = (*parmf.Factors)(nil)
-
-	_ FactorSolver = (*seqmf.Factors)(nil)
-	_ FactorSolver = (*parmf.Factors)(nil)
 )
 
 func parse(t *testing.T, args ...string) (*Common, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var c Common
-	c.Register(fs, 4)
+	c.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -36,7 +26,7 @@ func TestDefaultsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 4 || c.BlockRows < 1 || c.FastKernels || c.NRHS != 1 {
+	if c.Workers != 8 || c.BlockRows < 1 || c.Kernel != "" || c.NRHS != 1 {
 		t.Fatalf("unexpected defaults %+v", c)
 	}
 	m, err := c.Method()
@@ -49,7 +39,7 @@ func TestDefaultsValidate(t *testing.T) {
 	}
 }
 
-// TestTimeoutAndFaultsFlags pins the robustness flags both CLIs share:
+// TestTimeoutAndFaultsFlags pins the common robustness flags:
 // negative -timeout and malformed -faults schedules are rejected at
 // validation; valid ones produce a deadline-bound context and an armed
 // injector.
@@ -107,7 +97,7 @@ func TestValidationRejects(t *testing.T) {
 		{"-matrix", "PRE2", "-ordering", ""},
 		{"-matrix", "PRE2", "-slaves", "nobody"},
 		{"-matrix", "PRE2", "-root-grid", "-2"},
-		{"-matrix", "PRE2", "-root-grid", "5"},                  // > default 4 workers
+		{"-matrix", "PRE2", "-root-grid", "9"},                  // > default 8 workers
 		{"-matrix", "PRE2", "-workers", "2", "-root-grid", "3"}, // > explicit workers
 		{}, // neither -matrix nor -mm
 	}
@@ -138,7 +128,7 @@ func TestRootGridAccepts(t *testing.T) {
 }
 
 func TestLoadSuiteProblem(t *testing.T) {
-	c, err := parse(t, "-matrix", "GUPTA3", "-small", "-fast-kernels")
+	c, err := parse(t, "-matrix", "GUPTA3", "-small", "-kernel", "fast")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +148,7 @@ func TestLoadSuiteProblem(t *testing.T) {
 	}
 }
 
-// TestKernelFlagGrammar pins the -kernel grammar, the deprecated
-// -fast-kernels alias, and their mutual exclusion.
+// TestKernelFlagGrammar pins the -kernel grammar.
 func TestKernelFlagGrammar(t *testing.T) {
 	accept := []struct {
 		args []string
@@ -171,7 +160,6 @@ func TestKernelFlagGrammar(t *testing.T) {
 		{[]string{"-matrix", "PRE2", "-kernel", "FAST"}, dense.KernelFast},
 		{[]string{"-matrix", "PRE2", "-kernel", "simd"}, dense.KernelSIMD},
 		{[]string{"-matrix", "PRE2", "-kernel", "auto"}, dense.KernelAuto},
-		{[]string{"-matrix", "PRE2", "-fast-kernels"}, dense.KernelFast},
 	}
 	for _, c := range accept {
 		fl, err := parse(t, c.args...)
@@ -191,18 +179,15 @@ func TestKernelFlagGrammar(t *testing.T) {
 	reject := [][]string{
 		{"-matrix", "PRE2", "-kernel", "turbo"},
 		{"-matrix", "PRE2", "-kernel", "fastest"},
-		{"-matrix", "PRE2", "-kernel", "fast", "-fast-kernels"},
-		{"-matrix", "PRE2", "-kernel", "simd", "-fast-kernels"},
-		{"-matrix", "PRE2", "-kernel", "default", "-fast-kernels"},
 	}
 	for _, args := range reject {
 		if _, err := parse(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	if _, err := parse(t, "-matrix", "PRE2", "-kernel", "fast", "-fast-kernels"); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("conflict error not descriptive: %v", err)
+	if _, err := parse(t, "-matrix", "PRE2", "-kernel", "turbo"); err == nil ||
+		!strings.Contains(err.Error(), "unknown kernel family") {
+		t.Errorf("bad -kernel error not descriptive: %v", err)
 	}
 }
 

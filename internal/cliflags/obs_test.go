@@ -15,8 +15,8 @@ import (
 )
 
 // TestObservabilityFlagsAccepted pins the observability flags onto the
-// shared set: both CLIs register through Common.Register, so accepting
-// them here is accepting them in cmd/parfactor and cmd/oocfactor alike.
+// common set: cmd/parfactor registers through Common.Register, so
+// accepting them here is accepting them there.
 func TestObservabilityFlagsAccepted(t *testing.T) {
 	dir := t.TempDir()
 	c, err := parse(t, "-matrix", "PRE2",
@@ -179,7 +179,7 @@ func TestListenLifecycle(t *testing.T) {
 	}
 }
 
-// TestAbortLifecycle pins the failure path the CLIs' fatal handlers
+// TestAbortLifecycle pins the failure path the CLI's fatal handler
 // take: Abort flips the registered run to StatusFailed (not Done), the
 // server shuts down, and the metrics output — including the injected
 // fault counters — is still written for post-mortem.

@@ -1,15 +1,16 @@
 // Package core is the public facade of the solver: it wires the analysis
 // pipeline (ordering → elimination tree → assembly tree → optional node
-// splitting → static mapping), the sequential and shared-memory parallel
-// numeric factorizations, and the parallel factorization simulator with
-// the paper's scheduling strategies behind a small API.
+// splitting → static mapping), the shared-memory parallel numeric
+// factorization (in-core or out-of-core; one worker replays the
+// sequential postorder traversal), and the parallel factorization
+// simulator with the paper's scheduling strategies behind a small API.
 //
 // Typical use:
 //
-//	an, err := core.Analyze(a, core.DefaultConfig(order.ND, 32))
-//	f, err := an.Factorize()          // numeric LU/Cholesky + Solve
-//	pf, err := an.FactorizeParallel(parmf.DefaultConfig(8))
-//	of, st, err := an.FactorizeOOC()  // factors spilled to disk as produced
+//	an, err := core.Analyze(a, core.DefaultConfig(order.ND, 8))
+//	f, err := an.FactorizeParallel(parmf.DefaultConfig(8)) // numeric LU/Cholesky
+//	x, err := f.SolveOriginal(b)
+//	of, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(8)) // factors spilled to disk
 //	res, err := an.Simulate(parsim.MemoryBased())
 package core
 
@@ -25,7 +26,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
-	"repro/internal/seqmf"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
@@ -52,9 +52,8 @@ type Config struct {
 	FrontSplit int
 	// BlockRows is the panel width / row-block height of the blocked
 	// dense kernels and of the within-front partitions (1D row blocks and
-	// 2D tiles), for both executors. 0 uses dense.DefaultBlockRows;
-	// negative selects the element-wise reference kernels
-	// (bitwise-identical, slower).
+	// 2D tiles). 0 uses dense.DefaultBlockRows; negative selects the
+	// element-wise reference kernels (bitwise-identical, slower).
 	BlockRows int
 	// RootGrid controls the 2D (type-3) tile decomposition of split root
 	// fronts in the parallel executor: 0 sizes the worker grid
@@ -69,21 +68,18 @@ type Config struct {
 	// validated by residual instead of bit equality; factors stay
 	// deterministic for a fixed BlockRows, at any worker count.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// MapOptions overrides the static mapping (zero value = defaults).
 	MapOptions assembly.MapOptions
 	// Params is the simulated machine model (zero value = defaults).
 	Params parsim.Params
-	// OOC configures the out-of-core factor store used by FactorizeOOC
-	// and FactorizeParallelOOC (zero value = defaults: spill file in the
+	// OOC configures the out-of-core factor store used by
+	// FactorizeParallelOOC (zero value = defaults: spill file in the
 	// system temp dir, resident buffer sized by oocOptions).
 	OOC ooc.Options
 	// Tracer, when non-nil, records task/front/store/solve spans and
 	// memory timelines from every numeric factorization run through this
 	// analysis (see internal/trace: Chrome trace_event export, memory
-	// CSV/sparklines, Prometheus-style snapshots). The executors also arm
+	// CSV/sparklines, Prometheus-style snapshots). The executor also arms
 	// its progress ledger (fronts/flops done against the analysis-time
 	// totals), so a trace.Collector — or an internal/obs server holding
 	// one — can serve live mid-run snapshots with progress, ETA and the
@@ -91,7 +87,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// named points of every numeric factorization run through this
-	// analysis (see internal/faults): the executors' task points, the
+	// analysis (see internal/faults): the executor's task points, the
 	// out-of-core store's spill-write/spill-read/decode points, and the
 	// solve's per-front point. nil = zero overhead; fault handling never
 	// changes the numeric result of a run that completes.
@@ -195,45 +191,6 @@ func (an *Analysis) WithSplit(threshold int64, minPiv int) (*Analysis, error) {
 	}, nil
 }
 
-// Factorize runs the sequential numeric factorization (real LU/Cholesky)
-// through the blocked dense kernels (Config.BlockRows) — the same numeric
-// path the parallel executor uses, bitwise identical to the element-wise
-// kernels. The matrix must carry values.
-func (an *Analysis) Factorize() (*seqmf.Factors, error) {
-	return an.FactorizeCtx(context.Background())
-}
-
-// FactorizeCtx is Factorize under a context: the postorder walk checks
-// ctx between fronts and a cancellation becomes a descriptive error
-// naming how far the walk got. A Background context costs nothing.
-func (an *Analysis) FactorizeCtx(ctx context.Context) (*seqmf.Factors, error) {
-	return seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.seqOptions())
-}
-
-// seqOptions resolves the sequential executor's options from the
-// analysis configuration.
-func (an *Analysis) seqOptions() seqmf.Options {
-	opt := seqmf.DefaultOptions()
-	opt.BlockRows = an.blockRows()
-	opt.Kernel = an.Config.Kernel
-	opt.FastKernels = an.Config.FastKernels
-	opt.Tracer = an.Config.Tracer
-	opt.Faults = an.Config.Faults
-	return opt
-}
-
-// blockRows resolves Config.BlockRows: explicit, default, or 0 for the
-// element-wise kernels.
-func (an *Analysis) blockRows() int {
-	switch {
-	case an.Config.BlockRows > 0:
-		return an.Config.BlockRows
-	case an.Config.BlockRows < 0:
-		return 0
-	}
-	return dense.DefaultBlockRows
-}
-
 // FrontSplitThreshold resolves Config.FrontSplit against the tree: the
 // explicit threshold, the static mapping's type-2 classification
 // threshold (Config.FrontSplit == 0 — an explicit
@@ -262,9 +219,11 @@ func (an *Analysis) FrontSplitThreshold() int {
 
 // FactorizeParallel runs the shared-memory parallel numeric factorization
 // with cfg.Workers goroutines (cfg.Workers < 1 uses the analysis processor
-// count). Unless overridden, the static mapping's leaf subtrees become the
-// single-worker subtree tasks of the paper's layer L0, and fronts above
-// the type-2 threshold factor through the within-front master/slave path
+// count); the matrix must carry values. One worker replays the sequential
+// postorder traversal, so its stack peak is the analysis' SeqPeak. Unless
+// overridden, the static mapping's leaf subtrees become the single-worker
+// subtree tasks of the paper's layer L0, and fronts above the type-2
+// threshold factor through the within-front master/slave path
 // (Config.FrontSplit / Config.BlockRows).
 func (an *Analysis) FactorizeParallel(cfg parmf.Config) (*parmf.Factors, error) {
 	return an.FactorizeParallelCtx(context.Background(), cfg)
@@ -293,9 +252,6 @@ func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) 
 	if cfg.Kernel == dense.KernelDefault {
 		cfg.Kernel = an.Config.Kernel
 	}
-	if an.Config.FastKernels {
-		cfg.FastKernels = true
-	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = an.Config.Tracer
 	}
@@ -303,58 +259,6 @@ func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) 
 		cfg.Faults = an.Config.Faults
 	}
 	return parmf.FactorizeCtx(ctx, an.Permuted, an.Tree, cfg)
-}
-
-// FactorizeAndSolve factors sequentially and solves nrhs right-hand
-// sides in one blocked pass: b is n x nrhs row-major in the *original*
-// (pre-permutation) ordering, as is the returned x. The factors are
-// returned too so the caller can keep solving against them (the
-// "factor once, solve many" service shape); they need no Close for the
-// in-memory store used here.
-func (an *Analysis) FactorizeAndSolve(b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
-	return an.FactorizeAndSolveCtx(context.Background(), b, nrhs)
-}
-
-// FactorizeAndSolveCtx is FactorizeAndSolve under a context. The
-// factorization walk checks ctx between fronts; the sequential solve
-// runs to completion once started (it is short next to the
-// factorization), with one ctx check between the two phases.
-func (an *Analysis) FactorizeAndSolveCtx(ctx context.Context, b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
-	f, err := an.FactorizeCtx(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
-	}
-	x, err := f.SolveOriginalMulti(b, nrhs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, f, nil
-}
-
-// FactorizeParallelAndSolve is FactorizeAndSolve through the
-// shared-memory parallel executor: the factorization runs with
-// cfg.Workers goroutines and the solve runs tree-parallel with the same
-// worker count, bitwise identical to the sequential solve.
-func (an *Analysis) FactorizeParallelAndSolve(cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
-	return an.FactorizeParallelAndSolveCtx(context.Background(), cfg, b, nrhs)
-}
-
-// FactorizeParallelAndSolveCtx is FactorizeParallelAndSolve under a
-// context: both the factorization pool and the tree-parallel solve
-// pools drain at the next front boundary on cancellation.
-func (an *Analysis) FactorizeParallelAndSolveCtx(ctx context.Context, cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
-	f, err := an.FactorizeParallelCtx(ctx, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.Solver(cfg.Workers).SolveOriginalMultiCtx(ctx, b, nrhs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, f, nil
 }
 
 // oocOptions resolves Config.OOC, defaulting the resident-buffer budget
@@ -384,44 +288,21 @@ func (an *Analysis) oocOptions() ooc.Options {
 	return opt
 }
 
-// FactorizeOOC runs the sequential numeric factorization out-of-core:
-// every factor block is spilled to disk (through an ooc.FileStore built
-// from Config.OOC) the moment it is produced, so only the CB stack and
-// the active front stay resident. The returned factors solve by
-// streaming blocks back from disk; Close them (or the store) to delete
-// the spill file. The factors are bitwise identical to Factorize's.
-func (an *Analysis) FactorizeOOC() (*seqmf.Factors, *ooc.FileStore, error) {
-	return an.FactorizeOOCCtx(context.Background())
-}
-
-// FactorizeOOCCtx is FactorizeOOC under a context: on cancellation the
-// walk stops at the next front and the store's spill writer stops
-// promptly; the store is closed (spill file deleted) on every error
-// path. A Background context costs nothing.
-func (an *Analysis) FactorizeOOCCtx(ctx context.Context) (*seqmf.Factors, *ooc.FileStore, error) {
-	st, err := ooc.NewFileStore(an.oocOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	opt := an.seqOptions()
-	opt.Store = st
-	f, err := seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, opt)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return f, st, nil
-}
-
-// FactorizeParallelOOC is FactorizeParallel with the factor blocks
-// spilled to disk as produced (see FactorizeOOC). cfg.Store is
-// overridden with the new file store.
+// FactorizeParallelOOC is FactorizeParallel with every factor block
+// spilled to disk (through an ooc.FileStore built from Config.OOC) the
+// moment it is produced, so only the CB stacks and the active fronts stay
+// resident. The returned factors solve by streaming blocks back from
+// disk; Close them (or the store) to delete the spill file. The factors
+// are bitwise identical to FactorizeParallel's. cfg.Store is overridden
+// with the new file store.
 func (an *Analysis) FactorizeParallelOOC(cfg parmf.Config) (*parmf.Factors, *ooc.FileStore, error) {
 	return an.FactorizeParallelOOCCtx(context.Background(), cfg)
 }
 
-// FactorizeParallelOOCCtx is FactorizeParallelOOC under a context (see
-// FactorizeOOCCtx for the cancellation and cleanup semantics).
+// FactorizeParallelOOCCtx is FactorizeParallelOOC under a context: on
+// cancellation the worker pool drains at the next task boundary and the
+// store's spill writer stops promptly; the store is closed (spill file
+// deleted) on every error path. A Background context costs nothing.
 func (an *Analysis) FactorizeParallelOOCCtx(ctx context.Context, cfg parmf.Config) (*parmf.Factors, *ooc.FileStore, error) {
 	st, err := ooc.NewFileStore(an.oocOptions())
 	if err != nil {

@@ -1,15 +1,62 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/dense"
+	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
+	"repro/internal/seqmf"
 	"repro/internal/sparse"
 )
+
+// seqFactorize runs the sequential reference executor over the analysis
+// with the kernels the facade resolves by default (blocked, default
+// family): the oracle the FactorizeParallel methods are checked against.
+func seqFactorize(t *testing.T, an *Analysis) *seqmf.Factors {
+	t.Helper()
+	opt := seqmf.DefaultOptions()
+	opt.BlockRows = dense.DefaultBlockRows
+	f, err := seqmf.Factorize(an.Permuted, an.Tree, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// assertSameFactors asserts that every factor block in got — an
+// in-memory or out-of-core store — holds the exact bits of want's.
+func assertSameFactors(t *testing.T, an *Analysis, want *front.Factors, got front.Store) {
+	t.Helper()
+	for ni := 0; ni < an.Tree.Len(); ni++ {
+		g, err := got.Fetch(ni)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want.Node(ni)
+		if w.NPiv != g.NPiv || len(w.Rows) != len(g.Rows) || (w.U == nil) != (g.U == nil) {
+			t.Fatalf("node %d: block shape differs", ni)
+		}
+		for p, v := range w.L.A {
+			if v != g.L.A[p] {
+				t.Fatalf("node %d: L entry %d differs: %g vs %g", ni, p, v, g.L.A[p])
+			}
+		}
+		if w.U != nil {
+			for p, v := range w.U.A {
+				if v != g.U.A[p] {
+					t.Fatalf("node %d: U entry %d differs: %g vs %g", ni, p, v, g.U.A[p])
+				}
+			}
+		}
+		got.Release(ni)
+	}
+}
 
 func TestAnalyzeFactorizeSimulate(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
@@ -21,7 +68,7 @@ func TestAnalyzeFactorizeSimulate(t *testing.T) {
 	if st.N != a.N || st.Fronts == 0 || st.Flops <= 0 || st.SeqPeak <= 0 {
 		t.Fatalf("bad stats %+v", st)
 	}
-	f, err := an.Factorize()
+	f, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +203,9 @@ func TestSimulateTraced(t *testing.T) {
 	}
 }
 
+// TestFactorizeOOC pins the out-of-core contract at one worker: every
+// block is spilled, the resident peak drops below the in-core one, and
+// the factors and solves are bitwise identical to the in-core run's.
 func TestFactorizeOOC(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	cfg := DefaultConfig(order.ND, 4)
@@ -164,11 +214,11 @@ func TestFactorizeOOC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := an.Factorize()
+	sf, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	of, st, err := an.FactorizeOOC()
+	of, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +233,7 @@ func TestFactorizeOOC(t *testing.T) {
 		t.Errorf("OOC resident peak %d not below in-core %d",
 			of.Stats.ResidentPeak, sf.Stats.ResidentPeak)
 	}
+	assertSameFactors(t, an, sf.Front(), st)
 	// Same factors → identical solves.
 	b := make([]float64, a.N)
 	for i := range b {
@@ -219,10 +270,7 @@ func TestFactorizeParallelOOC(t *testing.T) {
 	if st.Stats().Blocks != an.Tree.Len() {
 		t.Errorf("spilled %d blocks, want %d", st.Stats().Blocks, an.Tree.Len())
 	}
-	sf, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := seqFactorize(t, an)
 	b := make([]float64, a.N)
 	for i := range b {
 		b[i] = float64(i%7) - 3
@@ -248,10 +296,7 @@ func TestFactorizeParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := seqFactorize(t, an)
 	pf, err := an.FactorizeParallel(parmf.DefaultConfig(0)) // 0 → Procs
 	if err != nil {
 		t.Fatal(err)
@@ -266,19 +311,13 @@ func TestFactorizeParallelMatchesSequential(t *testing.T) {
 	if pf.Stats.FactorEntries != sf.Stats.FactorEntries {
 		t.Errorf("factor entries %d vs %d", pf.Stats.FactorEntries, sf.Stats.FactorEntries)
 	}
-	for ni := 0; ni < an.Tree.Len(); ni++ {
-		sn, pn := sf.Front().Node(ni), pf.Front().Node(ni)
-		for p, v := range sn.L.A {
-			if v != pn.L.A[p] {
-				t.Fatalf("node %d: L entry %d differs: %g vs %g", ni, p, v, pn.L.A[p])
-			}
-		}
-	}
+	assertSameFactors(t, an, sf.Front(), pf.Store())
 }
 
-// TestFactorizeAndSolve covers the facade's factor-and-solve variants:
-// the sequential and tree-parallel paths must agree bit for bit on a
-// multi-RHS block (in original ordering) and actually solve the system.
+// TestFactorizeAndSolve covers the factor-then-solve service shape: the
+// sequential reference and the 4-worker tree-parallel solve must agree
+// bit for bit on a multi-RHS block (in original ordering) and actually
+// solve the system, and the solve layer must reject malformed blocks.
 func TestFactorizeAndSolve(t *testing.T) {
 	a := sparse.Grid3D(6, 6, 6)
 	if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
@@ -294,19 +333,20 @@ func TestFactorizeAndSolve(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xs, sf, err := an.FactorizeAndSolve(b, nrhs)
+	xs, err := seqFactorize(t, an).SolveOriginalMulti(b, nrhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf == nil {
-		t.Fatal("nil sequential factors")
-	}
-	xp, pf, err := an.FactorizeParallelAndSolve(parmf.DefaultConfig(4), b, nrhs)
+	pf, err := an.FactorizeParallel(parmf.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pf.Stats.Workers != 4 {
 		t.Fatalf("parallel run used %d workers", pf.Stats.Workers)
+	}
+	xp, err := pf.Solver(4).SolveOriginalMultiCtx(context.Background(), b, nrhs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range xs {
 		if xs[i] != xp[i] {
@@ -326,10 +366,50 @@ func TestFactorizeAndSolve(t *testing.T) {
 		}
 	}
 	// Validation surfaces from the solve layer.
-	if _, _, err := an.FactorizeAndSolve(b, 0); err == nil {
+	if _, err := pf.SolveOriginalMulti(b, 0); err == nil {
 		t.Error("zero nrhs accepted")
 	}
-	if _, _, err := an.FactorizeParallelAndSolve(parmf.DefaultConfig(2), b[:3], nrhs); err == nil {
+	if _, err := pf.Solver(2).SolveOriginalMultiCtx(context.Background(), b[:3], nrhs); err == nil {
 		t.Error("short block accepted")
+	}
+}
+
+// TestOneWorkerMatchesSequential pins the facade's single-path claim: with
+// the analysis-derived defaults (mapping subtree tasks, front-split
+// threshold, block rows), FactorizeParallel and FactorizeParallelOOC at
+// one worker reproduce the sequential reference executor's factors bit
+// for bit, and the in-core run its stats exactly — on a symmetric and an
+// unsymmetric problem.
+func TestOneWorkerMatchesSequential(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSC
+	}{
+		{"spd", sparse.Grid3D(7, 7, 7)},
+		{"unsym", sparse.Grid3DUnsym(6, 6, 6, rand.New(rand.NewSource(5)))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(order.ND, 4)
+			cfg.OOC.Dir = t.TempDir()
+			an, err := Analyze(c.a, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sf := seqFactorize(t, an)
+			pf, err := an.FactorizeParallel(parmf.DefaultConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameFactors(t, an, sf.Front(), pf.Store())
+			if got := pf.Stats.Seq(); got != sf.Stats {
+				t.Errorf("1-worker stats %+v != sequential %+v", got, sf.Stats)
+			}
+			of, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer of.Close()
+			assertSameFactors(t, an, sf.Front(), st)
+		})
 	}
 }

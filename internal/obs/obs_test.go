@@ -196,7 +196,7 @@ loop:
 }
 
 // TestEndpoints covers the static endpoints and selectors against one
-// completed sequential OOC run.
+// completed one-worker OOC run.
 func TestEndpoints(t *testing.T) {
 	srv, err := obs.NewServer("127.0.0.1:0", nil)
 	if err != nil {
@@ -211,13 +211,13 @@ func TestEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, _ := srv.Registry().Register("grid2d", cfg.Tracer)
-	f, st, err := an.FactorizeOOC()
+	f, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	run.SetSpill(st.Stats)
-	run.Complete(f.Stats)
+	run.Complete(f.Stats.ExecStats)
 
 	if code, body := get(t, srv.URL()+"/healthz"); code != 200 || string(body) != "ok\n" {
 		t.Fatalf("/healthz = %d %q", code, body)

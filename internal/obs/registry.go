@@ -3,16 +3,19 @@
 // memory timelines and pprof for factorizations while they run, plus a
 // registry that lets one server watch several concurrent runs.
 //
-// The CLIs wire it behind the -listen flag (internal/cliflags); a
+// The CLI wires it behind the -listen flag (internal/cliflags); a
 // library embedder creates a Server, Registers a Run per factorization,
 // hands the run's tracer to the executor, and Completes the run with
 // the final ExecStats:
 //
 //	srv, _ := obs.NewServer("127.0.0.1:9090", nil)
 //	defer srv.Close()
-//	run, _ := srv.Registry().Register("GUPTA3", tracer)
-//	stats, _ := core.FactorizeParallelOOC(...)
-//	run.Complete(stats)
+//	cfg.Tracer = trace.New(workers) // cfg is the core.Config
+//	an, _ := core.Analyze(a, cfg)
+//	run, _ := srv.Registry().Register("GUPTA3", cfg.Tracer)
+//	f, st, _ := an.FactorizeParallelOOC(parmf.DefaultConfig(workers))
+//	run.SetSpill(st.Stats)
+//	run.Complete(f.Stats.ExecStats)
 //
 // Everything is stdlib-only (net/http, net/http/pprof).
 package obs

@@ -49,7 +49,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/nodepar"
 	"repro/internal/sched"
-	"repro/internal/seqmf"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
@@ -171,9 +170,6 @@ type Config struct {
 	// partition, tile grid or worker count, they just differ from the
 	// element-wise reference.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// executor's task point (see internal/faults). nil is a zero-cost
 	// no-op, like Tracer.
@@ -186,11 +182,26 @@ func DefaultConfig(workers int) Config {
 }
 
 // Stats records memory and work, in the units of the assembly cost model.
-// The embedded ExecStats matches seqmf.Stats (see Seq) so a one-worker run
-// can be compared field-by-field with the sequential executor; PeakStack
-// is the max over workers of the (CB stack + active front) peak, and
-// ResidentPeak is the whole-process resident peak (all workers' fronts
-// and CBs plus store-owned factor blocks, under one shared meter).
+// The embedded ExecStats is the executor-independent format (see Seq) so a
+// one-worker run can be compared field-by-field with the sequential
+// reference executor; PeakStack is the max over workers of the (CB stack
+// + active front) peak, and ResidentPeak is the whole-process resident
+// peak (all workers' fronts and CBs plus store-owned factor blocks, under
+// one shared meter).
+//
+// The fields split by what determines them. The schedule-invariant ones
+// are a function of the tree, the subtree tasks and the Config alone, so
+// every completed run with the same inputs reports the same values:
+// FactorEntries, FinalStack, Fronts, MaxFront, AssemblyOps, Kernel, the
+// fault counters (Retries, DegradedBlocks, CancelledTasks), Workers,
+// Tasks, PeakBound, SplitFronts, SlaveTasks and Root2DFronts. The
+// schedule-dependent ones record which worker claimed which task, or
+// when the spill writer caught up, and vary run to run at more than one
+// worker: PeakStack, ResidentPeak, WorkerPeaks, WorkerStackPeaks,
+// Deviations, Waits, Forced, SlaveSteals, plus the wall-clock
+// RootFrontNs. Invariant returns the first set. A one-worker in-core run
+// replays the sequential schedule and splits no front, so all of its
+// stats are reproducible.
 type Stats struct {
 	memory.ExecStats
 
@@ -210,8 +221,20 @@ type Stats struct {
 	RootFrontNs  int64 // max wall-clock ns spent factoring one split root front
 }
 
-// Seq returns the seqmf-comparable subset of the stats.
-func (s Stats) Seq() seqmf.Stats { return s.ExecStats }
+// Seq returns the executor-independent subset of the stats, the format
+// the sequential reference executor reports.
+func (s Stats) Seq() memory.ExecStats { return s.ExecStats }
+
+// Invariant returns a copy of the stats with every schedule-dependent
+// field zeroed (see Stats): two completed runs of the same inputs have
+// equal Invariant stats at any worker count.
+func (s Stats) Invariant() Stats {
+	s.PeakStack, s.ResidentPeak = 0, 0
+	s.WorkerPeaks, s.WorkerStackPeaks = nil, nil
+	s.Deviations, s.Waits, s.Forced = 0, 0, 0
+	s.SlaveSteals, s.RootFrontNs = 0, 0
+	return s
+}
 
 // Factors holds the parallel numeric factorization.
 type Factors struct {
@@ -400,11 +423,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		cbOwner: make([]int, tree.Len()),
 		loads:   make([]int64, cfg.Workers),
 	}
-	kern := cfg.Kernel
-	if kern == dense.KernelDefault && cfg.FastKernels {
-		kern = dense.KernelFast
-	}
-	kern = kern.Resolve() // auto picks simd or fast here, so stats name the family that ran
+	kern := cfg.Kernel.Resolve() // auto picks simd or fast here, so stats name the family that ran
 	f.kern = kern
 	st.cond = sync.NewCond(&st.mu)
 	st.stats.Workers = cfg.Workers

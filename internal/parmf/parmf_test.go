@@ -259,7 +259,7 @@ func TestFastKernelsSuite(t *testing.T) {
 			rDef := residual(a, xDef, b)
 
 			fopt := seqmf.DefaultOptions()
-			fopt.FastKernels = true
+			fopt.Kernel = dense.KernelFast
 			fast, err := seqmf.Factorize(pa, tree, fopt)
 			if err != nil {
 				t.Fatalf("seqmf fast: %v", err)
@@ -289,7 +289,7 @@ func TestFastKernelsSuite(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				cfg := parmf.DefaultConfig(workers)
-				cfg.FastKernels = true
+				cfg.Kernel = dense.KernelFast
 				cfg.FrontSplit = frontSplit // exercise the split path through the fast kernels
 				pf, err := parmf.Factorize(pa, tree, cfg)
 				if err != nil {

@@ -10,6 +10,12 @@
 // shared-memory parallel executor internal/parmf; this package contributes
 // the postorder walk and the single-stack memory accounting.
 //
+// It is the sequential reference, not a production path: every numeric
+// factorization runs through the parallel executor (core.Analysis's
+// FactorizeParallel methods), which at one worker reproduces this
+// package's factors bitwise and its Stats exactly. The executor test
+// suites cross-validate against this independent, single-goroutine walk.
+//
 // Factor blocks are owned by a front.Store, not by this package: the
 // default in-memory store keeps them all resident (classic in-core
 // execution), while an ooc.FileStore spills each block to disk as soon as
@@ -32,7 +38,6 @@ import (
 	"repro/internal/front"
 	"repro/internal/memory"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // Stats records the memory and work of a factorization in the
@@ -87,19 +92,12 @@ type Options struct {
 	// families trade the bitwise guarantee for speed, validated by
 	// residual, and stay deterministic for a fixed BlockRows.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// Store receives each front's factor block the moment it is
 	// extracted; nil keeps factors in memory (front.Factors).
 	Store front.Store
 	// Meter, when non-nil, replaces the internal resident-memory meter —
 	// pass one to share accounting with an enclosing measurement.
 	Meter *memory.Meter
-	// Tracer, when non-nil, records front-phase spans (on worker track 0)
-	// and resident-gauge counter samples from this run (see
-	// internal/trace). nil disables tracing at zero cost.
-	Tracer *trace.Tracer
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// walk's task point (see internal/faults). nil is a zero-cost no-op.
 	Faults *faults.Injector
@@ -128,27 +126,12 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		Kind: pa.Kind,
 		N:    pa.N,
 	}
-	kern := opt.Kernel
-	if kern == dense.KernelDefault && opt.FastKernels {
-		kern = dense.KernelFast
-	}
-	kern = kern.Resolve() // auto picks simd or fast here, so stats name the family that ran
+	kern := opt.Kernel.Resolve() // auto picks simd or fast here, so stats name the family that ran
 	f.kern = kern
 	f.Stats.Kernel = kern.String()
 	var meter *memory.Meter
 	f.store, f.fs, meter = front.ResolveStore(opt.Store, tree, pa.Kind, opt.Meter)
 	front.BindStoreContext(ctx, f.store)
-	tr := opt.Tracer
-	if tr != nil {
-		// The whole walk runs on one goroutine: all spans land on worker
-		// track 0. The meter observer makes the trace's "resident" counter
-		// the exact gauge history (its max == Stats.ResidentPeak). The
-		// progress ledger gets the analysis-time denominators so a live
-		// scrape can report completion and an ETA.
-		tr.EnsureWorkers(1)
-		meter.Observe(tr.MeterObserver())
-		tr.SetTotals(int64(tree.Len()), assembly.TotalFlops(tree))
-	}
 	asm := front.NewAssembler(sh)
 	arena := front.NewArena() // fronts and CBs recycle through here
 
@@ -182,25 +165,17 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		meter.Add(frontEntries)
 		bump(stack + frontEntries)
 
-		tr.Begin(0, trace.SpanAssemble, ni)
-		err = asm.Scatter(ni, fr)
-		tr.End(0, trace.SpanAssemble, ni)
-		if err != nil {
+		if err := asm.Scatter(ni, fr); err != nil {
 			return err
 		}
 
 		// Extend-add children, then free their CBs.
-		if len(nd.Children) > 0 {
-			tr.Begin(0, trace.SpanExtendAdd, ni)
-			for _, c := range nd.Children {
-				ops, err := asm.ExtendAdd(ni, fr, c, cbs[c])
-				if err != nil {
-					tr.End(0, trace.SpanExtendAdd, ni)
-					return err
-				}
-				f.Stats.AssemblyOps += ops
+		for _, c := range nd.Children {
+			ops, err := asm.ExtendAdd(ni, fr, c, cbs[c])
+			if err != nil {
+				return err
 			}
-			tr.End(0, trace.SpanExtendAdd, ni)
+			f.Stats.AssemblyOps += ops
 		}
 		for _, c := range nd.Children {
 			ce := assembly.CBEntries(&tree.Nodes[c], tree.Kind)
@@ -212,10 +187,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		bump(stack + frontEntries)
 
 		// Partial factorization.
-		tr.Begin(0, trace.SpanFactor, ni)
-		err = front.EliminateKernel(fr, npiv, pa.Kind, opt.PivotTol, opt.BlockRows, kern)
-		tr.End(0, trace.SpanFactor, ni)
-		if err != nil {
+		if err := front.EliminateKernel(fr, npiv, pa.Kind, opt.PivotTol, opt.BlockRows, kern); err != nil {
 			return fmt.Errorf("seqmf: node %d (front %d, npiv %d): %w", ni, nf, npiv, err)
 		}
 
@@ -225,7 +197,6 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		if err := f.store.Put(ni, front.ExtractFactor(fr, rows, npiv, pa.Kind), fe); err != nil {
 			return fmt.Errorf("seqmf: node %d: %w", ni, err)
 		}
-		tr.Instant(0, trace.EvPut, ni, fe*8)
 		f.Stats.FactorEntries += fe
 		f.Stats.Fronts++
 		if nf > f.Stats.MaxFront {
@@ -242,7 +213,6 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 			bump(stack)
 		}
 		arena.Free(fr)
-		tr.FrontDone(assembly.EliminationFlops(nd, tree.Kind))
 		return nil
 	}
 

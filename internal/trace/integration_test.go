@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -98,8 +99,9 @@ func TestTracedParallelRun(t *testing.T) {
 	}
 }
 
-// TestTracedSequentialRun pins the seqmf instrumentation: worker track 0
-// carries the front phases and the resident series is exact.
+// TestTracedSequentialRun pins the one-worker instrumentation (the
+// sequential schedule): worker track 0 carries the front phases and the
+// resident series is exact.
 func TestTracedSequentialRun(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	cfg := core.DefaultConfig(order.AMF, 1)
@@ -109,7 +111,7 @@ func TestTracedSequentialRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := an.Factorize()
+	f, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +124,15 @@ func TestTracedSequentialRun(t *testing.T) {
 	if resident != f.Stats.ResidentPeak {
 		t.Errorf("resident timeline max %d != ResidentPeak %d", resident, f.Stats.ResidentPeak)
 	}
-	snap := tr.Snapshot(f.Stats)
+	snap := tr.Snapshot(f.Stats.ExecStats)
 	var factorCount int64
 	for _, p := range snap.Phases {
 		if p.Phase == trace.SpanFactor {
 			factorCount = p.Count
 		}
+	}
+	if len(snap.PerWorker) != 1 || snap.PerWorker[0].Worker != 0 || snap.PerWorker[0].Spans == 0 {
+		t.Errorf("per-worker tracks %+v, want worker track 0 only", snap.PerWorker)
 	}
 	if factorCount != int64(an.Tree.Len()) {
 		t.Errorf("factor spans %d, want one per front (%d)", factorCount, an.Tree.Len())
@@ -135,27 +140,41 @@ func TestTracedSequentialRun(t *testing.T) {
 }
 
 // TestUntracedRunUnchanged cross-checks that attaching a tracer changes
-// no numbers: stats (and thus factors) are identical with and without.
+// no numbers: identical factors, and identical stats — all of them at one
+// worker, the schedule-invariant ones at two (see parmf.Stats; which
+// worker claimed which task varies between any two runs).
 func TestUntracedRunUnchanged(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	an, err := core.Analyze(a, core.DefaultConfig(order.AMF, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := an.FactorizeParallel(parmf.DefaultConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := parmf.DefaultConfig(2)
-	cfg.Tracer = trace.New(2)
-	traced, err := an.FactorizeParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats.FactorEntries != traced.Stats.FactorEntries ||
-		plain.Stats.Fronts != traced.Stats.Fronts ||
-		plain.Stats.ResidentPeak != traced.Stats.ResidentPeak {
-		t.Errorf("tracing changed the run: %+v vs %+v", plain.Stats.ExecStats, traced.Stats.ExecStats)
+	for _, workers := range []int{1, 2} {
+		plain, err := an.FactorizeParallel(parmf.DefaultConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := parmf.DefaultConfig(workers)
+		cfg.Tracer = trace.New(workers)
+		traced, err := an.FactorizeParallel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, ts := plain.Stats, traced.Stats
+		if workers > 1 {
+			ps, ts = ps.Invariant(), ts.Invariant()
+		}
+		if !reflect.DeepEqual(ps, ts) {
+			t.Errorf("%d workers: tracing changed the run: %+v vs %+v", workers, plain.Stats, traced.Stats)
+		}
+		for ni := 0; ni < an.Tree.Len(); ni++ {
+			na, nb := plain.Front().Node(ni), traced.Front().Node(ni)
+			for q, v := range na.L.A {
+				if v != nb.L.A[q] {
+					t.Fatalf("%d workers: node %d: L entry %d differs bitwise", workers, ni, q)
+				}
+			}
+		}
 	}
 }
 

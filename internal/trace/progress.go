@@ -20,9 +20,9 @@ type progress struct {
 
 // SetTotals arms the progress ledger with the analysis-time denominators
 // (front count and assembly.TotalFlops) and resets the done counters and
-// the resident mirror — the executors call it at the start of every
-// factorization, so a tracer reused across runs (oocfactor's in-core vs
-// out-of-core comparison) restarts its progress cleanly each time.
+// the resident mirror — the executor calls it at the start of every
+// factorization, so a tracer reused across runs (parfactor -ooc's in-core
+// vs out-of-core comparison) restarts its progress cleanly each time.
 func (t *Tracer) SetTotals(fronts, flops int64) {
 	if t == nil {
 		return

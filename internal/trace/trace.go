@@ -1,13 +1,13 @@
 // Package trace is the execution tracing and metrics layer for the real
-// executors. A Tracer is a low-overhead, concurrency-safe event recorder
-// the numeric executors (internal/seqmf, internal/parmf), the out-of-core
-// store (internal/ooc) and the tree-parallel solve phase stamp with their
-// task lifecycle: spans for tree tasks and leaf-subtree batches, front
+// executor. A Tracer is a low-overhead, concurrency-safe event recorder
+// the numeric executor (internal/parmf), the out-of-core store
+// (internal/ooc) and the tree-parallel solve phase stamp with their task
+// lifecycle: spans for tree tasks and leaf-subtree batches, front
 // phases (assembly, extend-add, partial factorization), within-front
 // row-block and 2D tile tasks, solve-phase node visits, and the OOC
 // store's spill writes and solve-pass reads.
 //
-// Memory timelines ride along for free: the tracer hooks the executors'
+// Memory timelines ride along for free: the tracer hooks the executor's
 // memory.Meter and memory.SafeTracker observers, so every mutation of the
 // resident gauge and of every worker's stack/active accounting lands in
 // the event stream as a counter sample. Because observers run under the
@@ -45,7 +45,7 @@ import (
 // they are ordinary strings, so new call sites may introduce new names
 // without touching this package.
 const (
-	// Tree-level task lifecycle (internal/parmf, internal/seqmf).
+	// Tree-level task lifecycle (internal/parmf).
 	SpanTask    = "task"    // one upper (individual-node) tree task
 	SpanSubtree = "subtree" // one leaf-subtree batch task
 	EvClaim     = "claim"   // instant: worker claimed a task from the pool

@@ -36,7 +36,6 @@ import (
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
-	"repro/internal/seqmf"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -369,9 +368,8 @@ func BenchmarkRootFront(b *testing.B) {
 
 type solveBenchState struct {
 	an *core.Analysis
-	sf *seqmf.Factors // in-core factors
-	of *seqmf.Factors // OOC factors (spilled to the store below)
-	st *ooc.FileStore
+	in front.Store    // in-core factors
+	of *ooc.FileStore // OOC factors (spilled)
 }
 
 // solveBenchSetup factors GUPTA3 exactly once per store type and shares
@@ -379,15 +377,15 @@ type solveBenchState struct {
 // would otherwise dwarf the tens-of-ms solves being measured.
 var solveBenchSetup = sync.OnceValue(func() *solveBenchState {
 	an := rootFrontAnalysis()
-	sf, err := an.Factorize()
+	sf, err := an.FactorizeParallel(parmf.DefaultConfig(1))
 	if err != nil {
 		panic(err)
 	}
-	of, st, err := an.FactorizeOOC()
+	_, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(1))
 	if err != nil {
 		panic(err)
 	}
-	return &solveBenchState{an: an, sf: sf, of: of, st: st}
+	return &solveBenchState{an: an, in: sf.Store(), of: st}
 })
 
 func solveCases() []kernelBenchCase {
@@ -401,15 +399,18 @@ func solveCases() []kernelBenchCase {
 			for i := range rhs {
 				rhs[i] = rng.NormFloat64()
 			}
-			f := s.sf
+			st := s.in
 			if store == "ooc" {
-				f = s.of
+				st = s.of
 			}
-			solve := func() ([]float64, error) { return f.SolveMulti(rhs, nrhs) }
+			// w1 is the sequential walk; wider rows the tree-parallel one.
+			var solver interface {
+				SolveMulti(b []float64, nrhs int) ([]float64, error)
+			} = front.NewSolver(st, s.an.Tree, s.an.Permuted.Kind, dense.KernelDefault)
 			if workers > 1 {
-				ts := parmf.NewTreeSolver(f.Store(), s.an.Tree, s.an.Permuted.Kind, workers, 0)
-				solve = func() ([]float64, error) { return ts.SolveMulti(rhs, nrhs) }
+				solver = parmf.NewTreeSolver(st, s.an.Tree, s.an.Permuted.Kind, workers, dense.KernelDefault)
 			}
+			solve := func() ([]float64, error) { return solver.SolveMulti(rhs, nrhs) }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for b.Loop() {
